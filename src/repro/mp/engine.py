@@ -8,18 +8,19 @@ contract so every uniprocessor policy runs unchanged:
   (:func:`~repro.mp.partition.partition_taskset`) and each core runs the
   *unmodified* uniprocessor :class:`~repro.sim.engine.Engine` over its
   disjoint sub-workload.  No migrations, by construction.
-* **global** — one shared ready queue; at every scheduling event the
-  policy's ``decide`` is invoked repeatedly over residual views
-  (``view.without(...)``) to pick the top-m jobs by its own ordering
-  (UER for EUA*), each with its own per-core frequency decision.  Jobs
-  may resume on a different core than they last ran on; such migrations
-  are counted and emitted as :attr:`~repro.obs.EventKind.MIGRATE`.
+* **global** — one shared ready queue, run by the same
+  :class:`~repro.sim.engine.Engine` dispatch loop with ``m`` dispatch
+  slots: at every scheduling event the policy's ``decide`` is invoked
+  repeatedly over residual views (``view.without(...)``) to pick the
+  top-m jobs by its own ordering (UER for EUA*), each with its own
+  per-core frequency decision.  Jobs may resume on a different core
+  than they last ran on; such migrations are counted and emitted as
+  :attr:`~repro.obs.EventKind.MIGRATE`.
 
 The anchoring oracle: at ``m = 1`` both modes reduce *bit-identically*
-to the uniprocessor engine — partitioned because it literally runs it,
-global because its loop mirrors ``Engine._run_loop`` operation-for-
-operation (same EPS tolerances, same event-emission order, same float
-expressions).  ``tests/properties/test_mp_equivalence.py`` pins this.
+to the uniprocessor engine — partitioned because it runs that engine
+per core, global because the uniprocessor is the m = 1 case of the one
+loop.  ``tests/properties/test_mp_equivalence.py`` pins this.
 
 Energy: each core integrates the per-core Martin model exactly as the
 uniprocessor does; the platform additionally charges the
@@ -33,26 +34,30 @@ exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..cpu import (
     EnergyModel,
     FrequencyScale,
     MPConfiguration,
     MulticorePowerModel,
-    Processor,
     ProcessorStats,
     min_energy_configuration,
 )
-from ..obs import EventKind, Observer
-from ..sim.engine import EPS_CYCLES, EPS_TIME, Engine, SimulationError, SimulationResult, _ArrivalLog
-from ..sim.job import Job, JobStatus
+from ..obs import Observer
+from ..sim.engine import (
+    CoreSegment,
+    Engine,
+    SimulationError,
+    SimulationResult,
+    _combine_stats,
+    _CoreObserver,
+)
+from ..sim.job import Job
 from ..sim.metrics import Metrics
 from ..sim.runner import Platform
-from ..sim.scheduler import ArrivalWindow, Scheduler, SchedulerView, SchedulingEvent
+from ..sim.scheduler import Scheduler
 from ..sim.task import TaskSet
 from ..sim.workload import WorkloadTrace
 from .partition import Partition, partition_taskset
@@ -67,10 +72,6 @@ __all__ = [
 ]
 
 MP_MODES = ("partitioned", "global")
-
-#: One executed/idle interval of one core: (start, end, job key or None,
-#: frequency).  Same shape as :class:`repro.sim.trace.Segment`.
-CoreSegment = Tuple[float, float, Optional[str], float]
 
 SchedulerSpecLike = Union[str, Scheduler, Callable[[], Scheduler]]
 
@@ -100,53 +101,6 @@ def _scheduler_factory(spec: SchedulerSpecLike) -> Callable[[], Scheduler]:
 
         return once
     return spec
-
-
-class _CoreObserver:
-    """Observer proxy that stamps every event with its core index.
-
-    Duck-types the :class:`~repro.obs.Observer` surface the engine and
-    schedulers touch (``emit``/``inc``/``set_gauge``/``observe``/
-    ``record`` plus the ``events``/``metrics``/``profiler``/``spans``
-    attributes).  All sinks are *shared* with the wrapped observer —
-    only ``emit`` is intercepted, to inject ``core=k`` into the event's
-    field dict.  Metric label cardinality is left untouched so m=1 runs
-    aggregate identically to uniprocessor ones.
-    """
-
-    __slots__ = ("_obs", "core", "events", "metrics", "profiler", "spans")
-
-    def __init__(self, obs: Observer, core: int):
-        self._obs = obs
-        self.core = core
-        self.events = obs.events
-        self.metrics = obs.metrics
-        self.profiler = obs.profiler
-        self.spans = obs.spans
-
-    def emit(self, time, kind, job=None, source="engine", **fields) -> None:
-        if self.events is not None:
-            self.events.emit(time, kind, job, source, core=self.core, **fields)
-
-    def inc(self, name, amount=1.0, **labels) -> None:
-        self._obs.inc(name, amount, **labels)
-
-    def set_gauge(self, name, value, **labels) -> None:
-        self._obs.set_gauge(name, value, **labels)
-
-    def observe(self, name, value, **labels) -> None:
-        self._obs.observe(name, value, **labels)
-
-    def record(self, name, seconds) -> None:
-        self._obs.record(name, seconds)
-
-    @property
-    def profiling(self) -> bool:
-        return self.profiler is not None
-
-    @property
-    def tracing(self) -> bool:
-        return self.spans is not None
 
 
 class MulticorePlatform(Platform):
@@ -254,29 +208,6 @@ class MPSimulationResult:
     @property
     def energy(self) -> float:
         return self.metrics.energy
-
-
-def _combine_stats(
-    per_core: List[ProcessorStats], uncore_energy: float
-) -> ProcessorStats:
-    """Sum per-core accounting; charge the uncore term as idle energy.
-
-    Single-core sums reduce to ``0.0 + x`` which is exact for the
-    non-negative accumulators involved, preserving m=1 bit-identity.
-    """
-    combined = ProcessorStats()
-    for s in per_core:
-        combined.energy += s.energy
-        combined.cycles_executed += s.cycles_executed
-        combined.busy_time += s.busy_time
-        combined.idle_time += s.idle_time
-        combined.idle_energy += s.idle_energy
-        combined.switch_count += s.switch_count
-        combined.switch_energy += s.switch_energy
-        for f, dur in s.residency.items():
-            combined.residency[f] = combined.residency.get(f, 0.0) + dur
-    combined.idle_energy += uncore_energy
-    return combined
 
 
 # ----------------------------------------------------------------------
@@ -406,22 +337,11 @@ def simulate_partitioned(
 # Global mode
 # ----------------------------------------------------------------------
 class GlobalEngine:
-    """Global multicore engine: shared ready queue, top-m dispatch.
-
-    The loop body mirrors ``Engine._run_loop`` operation-for-operation;
-    the only structural additions are (a) the slot loop that re-invokes
-    ``scheduler.decide`` over residual views to fill up to m cores and
-    (b) the core-affinity assignment with migration accounting.  At
-    ``m = 1`` the slot loop collapses to the single ``decide`` call and
-    the float stream is bit-identical to the uniprocessor engine
-    (pinned in ``tests/properties/test_mp_equivalence.py``) — treat any
-    edit here as an edit to ``Engine._run_loop`` and vice versa.
-
-    DVS switch *time* is rejected: a per-core stall while other cores
-    keep running has no well-defined global-time treatment in this
-    event model (the uniprocessor engine advances global time for it).
-    Switch energy and counts are still accounted.
-    """
+    """Global multicore run: :class:`~repro.sim.engine.Engine` over one
+    fresh processor per core, its result packed as an
+    :class:`MPSimulationResult` (uncore energy, per-core stats,
+    migrations, per-core segments).  At m > 1 the engine rejects DVS
+    switch *time* here, at construction."""
 
     def __init__(
         self,
@@ -430,432 +350,35 @@ class GlobalEngine:
         platform: MulticorePlatform,
         observer: Optional[Observer] = None,
     ):
-        if platform.switch_time > 0.0:
-            raise SimulationError(
-                "GlobalEngine does not support switch_time > 0 "
-                "(per-core DVS stalls are ill-defined under global time); "
-                "use partitioned mode or switch_energy-only overheads"
-            )
-        self.workload = workload
-        self.scheduler = scheduler
         self.platform = platform
-        self.observer = observer
-        self.cores: List[Processor] = [platform.processor() for _ in range(platform.cores)]
-        self.migrations = 0
-        self.core_segments: List[List[CoreSegment]] = [[] for _ in range(platform.cores)]
-        #: Core-stamping observer proxies for the per-core frequency
-        #: decisions (FREQ_DECISION events carry ``core=k``).
-        self._core_obs: Optional[List[_CoreObserver]] = (
-            [_CoreObserver(observer, k) for k in range(platform.cores)]
-            if observer is not None
-            else None
+        self.engine = Engine(
+            workload,
+            scheduler,
+            [platform.processor() for _ in range(platform.cores)],
+            observer=observer,
         )
 
-    # ------------------------------------------------------------------
     def run(self) -> MPSimulationResult:
-        taskset: TaskSet = self.workload.taskset
-        horizon = self.workload.horizon
-        scheduler = self.scheduler
-        cores = self.cores
-        m = len(cores)
-
-        obs = self.observer
-        if obs is not None:
-            scheduler.bind_observer(obs)
-        profiling = obs is not None and obs.profiler is not None
-
-        scheduler.setup(taskset, self.platform.scale, self.platform.energy_model)
-
-        jobs: List[Job] = [
-            Job(spec.task, spec.index, spec.release, spec.demand) for spec in self.workload
-        ]
-        n_jobs = len(jobs)
-        arrival_idx = 0
-        releases: List[float] = [job.release for job in jobs]
-        ready: List[Job] = []
-        recent_arrivals: Dict[str, _ArrivalLog] = {t.name: _ArrivalLog() for t in taskset}
-        window_specs: List[Tuple[_ArrivalLog, str, float]] = [
-            (recent_arrivals[task.name], task.name, task.uam.window) for task in taskset
-        ]
-
-        t = 0.0
-        event = SchedulingEvent.START
-        last_running: List[Optional[Job]] = [None] * m
-        #: id(job) -> core the job last *executed* on (migration tracking).
-        last_exec_core: Dict[int, int] = {}
-        stall_guard = 0
-        max_stall = 4 * n_jobs + 64
-
-        while True:
-            advanced = False
-
-            # --- release arrivals due now -----------------------------
-            while arrival_idx < n_jobs and releases[arrival_idx] <= t + EPS_TIME:
-                job = jobs[arrival_idx]
-                arrival_idx += 1
-                event = SchedulingEvent.ARRIVAL
-                advanced = True
-                ready.append(job)
-                recent_arrivals[job.task.name].append(job.release)
-                if obs is not None:
-                    obs.emit(t, EventKind.RELEASE, job.key,
-                             release=job.release, termination=job.termination)
-                    obs.inc("jobs_released", task=job.task.name)
-
-            # --- raise termination exceptions -------------------------
-            if scheduler.abort_expired:
-                t_eps = t + EPS_TIME
-                expired: List[Job] = []
-                for j in ready:
-                    if j.termination <= t_eps and j.task.abortable:
-                        expired.append(j)
-                for job in expired:
-                    job.status = JobStatus.EXPIRED
-                    job.abort_time = t
-                    ready.remove(job)
-                    if obs is not None:
-                        obs.emit(t, EventKind.EXPIRE, job.key,
-                                 executed=job.executed, demand=job.demand)
-                        obs.inc("jobs_expired", task=job.task.name)
-                    event = SchedulingEvent.EXPIRY
-                    advanced = True
-
-            if t >= horizon - EPS_TIME:
-                break
-
-            # --- consult the scheduler: top-m dispatch -----------------
-            # At m > 1 the shared view carries all m cores' worth of
-            # demand, so any frequency computed over it is meaningless
-            # for a single core (decideFreq pins to f_max).  The
-            # selection round therefore runs with dvs=False — picks and
-            # aborts are unaffected — and per-core frequencies are
-            # decided afterwards over per-core residual views.
-            view = self._build_view(t, ready, taskset, window_specs, event, dvs=(m == 1))
-            if obs is not None:
-                obs.set_gauge("queue_depth", len(ready))
-                obs.observe("queue_depth_samples", len(ready))
-                obs.inc("scheduler_invocations", event=event.value)
-
-            picks: List[Tuple[Job, float]] = []
-            event_aborts: List[Job] = []
-            working = view
-            for slot in range(m):
-                if profiling:
-                    t0 = perf_counter()
-                    decision = scheduler.decide(working)
-                    obs.record("engine.decide", perf_counter() - t0)
-                else:
-                    decision = scheduler.decide(working)
-                for job in decision.aborts:
-                    if job.is_finished:
-                        raise SimulationError(f"scheduler aborted finished job {job.key}")
-                    job.status = JobStatus.ABORTED
-                    job.abort_time = t
-                    event_aborts.append(job)
-                    if job in ready:
-                        ready.remove(job)
-                    if obs is not None:
-                        obs.emit(t, EventKind.ABORT, job.key,
-                                 executed=job.executed, budget=job.allocated)
-                        obs.inc("jobs_aborted", task=job.task.name)
-                    advanced = True
-                picked = decision.job
-                if picked is None:
-                    break
-                if picked not in ready:
-                    raise SimulationError(
-                        f"scheduler selected non-ready job {picked.key}"
-                    )
-                picks.append((picked, decision.frequency))
-                if slot + 1 < m:
-                    working = working.without([picked, *decision.aborts])
-
-            # --- assign picks to cores (affinity first) ----------------
-            assigned: List[Optional[Tuple[Job, float]]] = [None] * m
-            free = set(range(m))
-            for job, freq in picks:
-                k = last_exec_core.get(id(job), -1)
-                if k not in free:
-                    k = min(free)
-                assigned[k] = (job, freq)
-                free.discard(k)
-
-            if m > 1 and picks:
-                self._decide_core_frequencies(view, assigned, event_aborts)
-
-            running: List[Optional[Job]] = [None] * m
-            for k in range(m):
-                pick = assigned[k]
-                if pick is None:
-                    continue
-                job, freq = pick
-                running[k] = job
-                cpu = cores[k]
-                freq_before = cpu.frequency
-                cpu.set_frequency(freq)  # switch_time is 0 by construction
-                if obs is not None and cpu.frequency != freq_before:
-                    obs.emit(t, EventKind.FREQ_SWITCH, job.key,
-                             frequency=cpu.frequency, previous=freq_before,
-                             overhead=0.0, core=k)
-                    obs.inc("freq_switches")
-
-            if obs is not None:
-                for k in range(m):
-                    if running[k] is last_running[k]:
-                        continue
-                    prev = last_running[k]
-                    if (
-                        prev is not None
-                        and running[k] is not None
-                        and prev.status is JobStatus.PENDING
-                    ):
-                        obs.emit(t, EventKind.PREEMPT, prev.key,
-                                 preempted_by=running[k].key, core=k)
-                        obs.inc("preemptions")
-                    if running[k] is not None:
-                        obs.emit(t, EventKind.DISPATCH, running[k].key,
-                                 frequency=cores[k].frequency,
-                                 remaining_budget=running[k].remaining_budget,
-                                 core=k)
-                        obs.inc("dispatches", task=running[k].task.name)
-
-            # --- find the next event -----------------------------------
-            t_arrival = releases[arrival_idx] if arrival_idx < n_jobs else math.inf
-            t_term = math.inf
-            if scheduler.abort_expired:
-                t_eps = t + EPS_TIME
-                for j in ready:
-                    j_term = j.termination
-                    if j_term < t_term and j_term > t_eps and j.task.abortable:
-                        t_term = j_term
-            t_complete = math.inf
-            for k in range(m):
-                job = running[k]
-                if job is not None:
-                    t_k = t + job.remaining_demand / cores[k].frequency
-                    if t_k < t_complete:
-                        t_complete = t_k
-            t_next = min(horizon, t_arrival, t_term, t_complete)
-            if t_next < t:
-                t_next = t  # coincident events; process without moving
-
-            # --- advance ------------------------------------------------
-            dt = t_next - t
-            for k in range(m):
-                cpu = cores[k]
-                job = running[k]
-                if job is not None:
-                    if dt > 0.0:
-                        prev_core = last_exec_core.get(id(job))
-                        if prev_core is not None and prev_core != k:
-                            self.migrations += 1
-                            if obs is not None:
-                                obs.emit(t, EventKind.MIGRATE, job.key,
-                                         core=k, previous_core=prev_core)
-                                obs.inc("migrations", task=job.task.name)
-                        last_exec_core[id(job)] = k
-                    executed = cpu.run(dt)
-                    job.executed += executed
-                    if dt > 0.0:
-                        self.core_segments[k].append((t, t_next, job.key, cpu.frequency))
-                else:
-                    cpu.idle(dt)
-                    if dt > 0.0:
-                        self.core_segments[k].append((t, t_next, None, cpu.frequency))
-                if obs is not None and dt > 0.0:
-                    obs.inc("cpu_residency_seconds", dt,
-                            mhz=f"{cpu.frequency:g}",
-                            state="busy" if job is not None else "idle")
-            if obs is not None:
-                last_running = list(running)
-            if dt > 0.0:
-                advanced = True
-            t = t_next
-
-            # --- completion --------------------------------------------
-            for k in range(m):
-                job = running[k]
-                if job is not None and job.remaining_demand <= EPS_CYCLES:
-                    job.status = JobStatus.COMPLETED
-                    job.completion_time = t
-                    job.accrued_utility = job.utility_at(t)
-                    ready.remove(job)
-                    scheduler.on_completion(job, t)
-                    if obs is not None:
-                        obs.emit(t, EventKind.COMPLETE, job.key,
-                                 utility=job.accrued_utility,
-                                 sojourn=t - job.release, core=k)
-                        obs.inc("jobs_completed", task=job.task.name)
-                        obs.observe("sojourn_seconds", t - job.release)
-                        last_running[k] = None
-                    event = SchedulingEvent.COMPLETION
-                    advanced = True
-
-            if not advanced:
-                stall_guard += 1
-                if stall_guard > max_stall:
-                    raise SimulationError(
-                        f"no progress at t={t} (scheduler {scheduler.name!r} idles "
-                        f"with {len(ready)} ready jobs and no future events)"
-                    )
-                if (
-                    not any(job is not None for job in running)
-                    and arrival_idx >= n_jobs
-                    and (t_term is math.inf)
-                ):
-                    break
-            else:
-                stall_guard = 0
-
-        per_core_stats = [cpu.stats for cpu in cores]
+        engine = self.engine
+        result = engine.run()
+        m = len(engine.cores)
+        horizon = result.horizon
+        per_core_stats = [cpu.stats for cpu in engine.cores]
         uncore_energy = self.platform.active_power * m * horizon
         combined = _combine_stats(per_core_stats, uncore_energy)
-        metrics = Metrics(taskset, jobs, combined, horizon)
         return MPSimulationResult(
-            scheduler_name=scheduler.name,
+            scheduler_name=result.scheduler_name,
             mode="global",
             cores=m,
-            metrics=metrics,
+            metrics=Metrics(engine.workload.taskset, result.jobs, combined, horizon),
             processor_stats=combined,
             per_core_stats=per_core_stats,
-            jobs=jobs,
+            jobs=result.jobs,
             horizon=horizon,
-            migrations=self.migrations,
+            migrations=engine.migrations,
             uncore_energy=uncore_energy,
-            core_segments=self.core_segments,
+            core_segments=engine.core_segments,
         )
-
-    # ------------------------------------------------------------------
-    def _build_view(
-        self,
-        t: float,
-        ready: List[Job],
-        taskset: TaskSet,
-        window_specs: List[Tuple[_ArrivalLog, str, float]],
-        event: SchedulingEvent,
-        dvs: bool = True,
-    ) -> SchedulerView:
-        counts: Dict[str, ArrivalWindow] = {}
-        for log, name, window in window_specs:
-            log.trim(t - window + EPS_TIME)
-            counts[name] = log.window()
-        energy = 0.0
-        for cpu in self.cores:
-            energy += cpu.stats.total_energy
-        return SchedulerView(
-            time=t,
-            ready=ready,
-            taskset=taskset,
-            scale=self.platform.scale,
-            energy_model=self.platform.energy_model,
-            event=event,
-            arrivals_in_window=counts,
-            energy_consumed=energy,
-            dvs=dvs,
-        )
-
-    # ------------------------------------------------------------------
-    def _decide_core_frequencies(
-        self,
-        view: SchedulerView,
-        assigned: List[Optional[Tuple[Job, float]]],
-        aborted: List[Job],
-    ) -> None:
-        """Per-core ``decideFreq`` over residual demand views (m > 1).
-
-        The selection round ran over the shared view with ``dvs=False``
-        (its m-core demand makes any single frequency meaningless — the
-        PR 8 bench notes' "degenerates to f_max").  Here the taskset is
-        split per core: each picked job's task is pinned to its core,
-        and the remaining tasks are distributed worst-fit by density
-        using the same deterministic ordering as the offline
-        partitioner, so every busy core prices roughly ``1/m`` of the
-        background demand instead of all of it.  Each assigned core
-        then gets ``scheduler.decide_frequency`` over its residual view
-        (its own dispatch plus its task share, minus jobs dispatched
-        elsewhere and jobs aborted this event); ``None`` keeps the
-        selection-round frequency (fixed-frequency policies).
-
-        ``assigned`` is updated in place.  Job selection is untouched —
-        only operating frequencies change, which is why m = 1 (this
-        method never runs) stays bit-identical to the uniprocessor
-        engine.
-        """
-        scheduler = self.scheduler
-        taskset = view.taskset
-        m = len(assigned)
-
-        # A task picked on several cores at once (rare: multiple pending
-        # jobs of one task) is pinned to each, so every core's own
-        # dispatch is always covered by its view's taskset.
-        pinned: Dict[int, List[int]] = {}
-        for k in range(m):
-            pick = assigned[k]
-            if pick is not None:
-                pinned.setdefault(id(pick[0].task), []).append(k)
-
-        loads = [0.0] * m
-        members: List[List[int]] = [[] for _ in range(m)]
-        rest: List[int] = []
-        for i, task in enumerate(taskset):
-            cores_of_task = pinned.get(id(task))
-            if cores_of_task is None:
-                rest.append(i)
-                continue
-            for k in cores_of_task:
-                members[k].append(i)
-                loads[k] += task.min_feasible_frequency
-        # Same ordering key as repro.mp.partition.partition_taskset:
-        # density desc, utility-per-cycle desc, index — deterministic.
-        rest.sort(
-            key=lambda i: (
-                -taskset[i].min_feasible_frequency,
-                -(taskset[i].tuf.max_utility / taskset[i].allocation),
-                i,
-            )
-        )
-        for i in rest:
-            k = min(range(m), key=lambda q: (loads[q], q))
-            members[k].append(i)
-            loads[k] += taskset[i].min_feasible_frequency
-
-        dropped = {id(j) for j in aborted}
-        core_obs = self._core_obs
-        for k in range(m):
-            pick = assigned[k]
-            if pick is None:
-                continue
-            job = pick[0]
-            subset = sorted(members[k])
-            subset_ids = {id(taskset[i]) for i in subset}
-            elsewhere = {
-                id(p[0]) for q, p in enumerate(assigned) if p is not None and q != k
-            }
-            sub_view = SchedulerView(
-                time=view.time,
-                ready=[
-                    j
-                    for j in view.ready
-                    if id(j.task) in subset_ids
-                    and id(j) not in dropped
-                    and id(j) not in elsewhere
-                ],
-                taskset=TaskSet(taskset[i] for i in subset),
-                scale=view.scale,
-                energy_model=view.energy_model,
-                event=view.event,
-                arrivals_in_window=view._arrivals_in_window,
-                energy_consumed=view.energy_consumed,
-            )
-            if core_obs is not None:
-                scheduler.bind_observer(core_obs[k])
-            try:
-                freq = scheduler.decide_frequency(sub_view, job)
-            finally:
-                if core_obs is not None:
-                    scheduler.bind_observer(self.observer)
-            if freq is not None:
-                assigned[k] = (job, freq)
 
 
 def simulate_global(

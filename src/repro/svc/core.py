@@ -10,9 +10,9 @@ It binds the paper's online machinery to an *open* arrival stream:
   :class:`~repro.runtime.AdmissionController` (feasibility projection at
   ``f_max``, lowest-UER eviction on overload);
 * dispatching reuses the registry schedulers unchanged — the core
-  builds the same :class:`~repro.sim.scheduler.SchedulerView` snapshots
-  the engine builds, so EUA*'s σ construction and ``decideFreq()`` run
-  verbatim against live traffic;
+  builds its :class:`~repro.sim.scheduler.SchedulerView` snapshots with
+  the engine's :class:`~repro.sim.engine.ViewBuilder`, so EUA*'s σ
+  construction and ``decideFreq()`` run verbatim against live traffic;
 * every decision lands in a :class:`~repro.obs.Observer` event log in
   the standard ``repro.obs`` wire format, which the HTTP front-end
   streams as JSONL.
@@ -32,15 +32,9 @@ from ..obs import EventKind, Observer
 from ..runtime import AdmissionController, UAMComplianceMonitor, ViolationPolicy
 from ..sched import make_scheduler
 from ..sim import Platform
-from ..sim.engine import EPS_CYCLES, EPS_TIME, _ArrivalLog
+from ..sim.engine import EPS_CYCLES, EPS_TIME, ViewBuilder
 from ..sim.job import Job, JobStatus
-from ..sim.scheduler import (
-    ArrivalWindow,
-    Decision,
-    Scheduler,
-    SchedulerView,
-    SchedulingEvent,
-)
+from ..sim.scheduler import Decision, Scheduler, SchedulingEvent
 from ..sim.task import TaskSet
 
 __all__ = ["ServiceCore", "SubmitOutcome", "UnknownTaskError"]
@@ -100,9 +94,7 @@ class ServiceCore:
 
         self._tasks = {task.name: task for task in taskset}
         self._indices: Dict[str, int] = {task.name: 0 for task in taskset}
-        self._arrival_logs: Dict[str, _ArrivalLog] = {
-            task.name: _ArrivalLog() for task in taskset
-        }
+        self._views = ViewBuilder(taskset, self.platform.scale, self.platform.energy_model)
         self.ready: List[Job] = []
         #: Deferred submissions waiting for their granted release.
         self._deferred: List[Tuple[float, int, Job]] = []
@@ -188,7 +180,7 @@ class ServiceCore:
             obs.emit(t, EventKind.ADMISSION_DECISION, victim.key, source="svc",
                      action="evict", reason="lower-uer", evicted_for=job.key)
         self.ready.append(job)
-        self._arrival_logs[job.task.name].append(job.release)
+        self._views.record(job)
         self.counters["admitted"] += 1
         obs.emit(t, EventKind.RELEASE, job.key, source="svc",
                  release=job.release, termination=job.termination)
@@ -228,15 +220,14 @@ class ServiceCore:
 
         Runs the deferred-activation and expiry passes first (the
         service's release/expiry phases), then consults the scheduler
-        over an engine-identical view snapshot.
+        over a view built by the engine's :class:`ViewBuilder`.
         """
         self.activate_due(t)
         self.expire_overdue(t)
         obs = self.observer
         if not self.ready:
             return Decision(job=None, frequency=self.platform.scale.f_max)
-        view = self._build_view(t, event)
-        decision = self.scheduler.decide(view)
+        decision = self.scheduler.decide(self._views.build(t, self.ready, event))
         for job in decision.aborts:
             job.status = JobStatus.ABORTED
             job.abort_time = t
@@ -275,7 +266,7 @@ class ServiceCore:
         return True
 
     # ------------------------------------------------------------------
-    # Timers / snapshots
+    # Timers / stats
     # ------------------------------------------------------------------
     def next_timer(self, t: float) -> Optional[float]:
         """Earliest future instant needing attention (deferral grant or
@@ -288,22 +279,6 @@ class ServiceCore:
                 if job.task.abortable and job.termination > t + EPS_TIME:
                     candidates.append(job.termination)
         return min(candidates) if candidates else None
-
-    def _build_view(self, t: float, event: SchedulingEvent) -> SchedulerView:
-        counts: Dict[str, ArrivalWindow] = {}
-        for task in self.taskset:
-            log = self._arrival_logs[task.name]
-            log.trim(t - task.uam.window + EPS_TIME)
-            counts[task.name] = log.window()
-        return SchedulerView(
-            time=t,
-            ready=self.ready,
-            taskset=self.taskset,
-            scale=self.platform.scale,
-            energy_model=self.platform.energy_model,
-            event=event,
-            arrivals_in_window=counts,
-        )
 
     def stats(self) -> dict:
         """JSON-friendly counter snapshot (``/stats``, load reports)."""

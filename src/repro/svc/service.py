@@ -18,7 +18,7 @@ Endpoints (all JSON unless noted)::
 
     POST /jobs            {"task": name, "demand": Mcycles?}  -> verdict
     POST /jobs/batch      [submission, ...]                   -> [verdict, ...]
-    GET  /events?since=N  decision stream as repro.obs JSONL
+    GET  /events?since=N  decision stream as repro.obs JSONL (N >= 0)
     GET  /stats           lifecycle counters + clock drift
     GET  /healthz         liveness probe
     POST /shutdown        graceful stop
@@ -175,21 +175,24 @@ class SchedulerService:
     ) -> None:
         try:
             while not self._stopping.is_set():
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    # The body's extent is unknown (or refused), so the
+                    # stream cannot be resynchronised: answer and close.
+                    status, message = exc.args
+                    await _respond(writer, status, _json({"error": message}),
+                                   "application/json", "close")
+                    break
                 if request is None:
                     break
                 method, path, body = request
                 status, payload = self._route(method, path, body)
-                writer.write(
-                    (
-                        f"HTTP/1.1 {status}\r\n"
-                        "Content-Type: "
-                        f"{'application/x-ndjson' if path.startswith('/events') else 'application/json'}\r\n"
-                        f"Content-Length: {len(payload)}\r\n"
-                        "Connection: keep-alive\r\n\r\n"
-                    ).encode() + payload
+                content_type = (
+                    "application/x-ndjson" if path.startswith("/events")
+                    else "application/json"
                 )
-                await writer.drain()
+                await _respond(writer, status, payload, content_type, "keep-alive")
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -202,6 +205,10 @@ class SchedulerService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
+        """One request, or ``None`` at end of stream / on a garbled
+        request line.  Raises :class:`_BadRequest` for a
+        ``Content-Length`` that is not a non-negative integer (400) or
+        exceeds ``_MAX_BODY`` (413)."""
         line = await reader.readline()
         if not line:
             return None
@@ -216,7 +223,15 @@ class SchedulerService:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                length = min(int(value.strip()), _MAX_BODY)
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadRequest("400 Bad Request", f"bad Content-Length {value!r}")
+                length = int(value)
+                if length > _MAX_BODY:
+                    raise _BadRequest(
+                        "413 Payload Too Large",
+                        f"body of {length} bytes exceeds the {_MAX_BODY}-byte limit",
+                    )
         body = await reader.readexactly(length) if length else b""
         return method, path, body
 
@@ -289,10 +304,12 @@ class SchedulerService:
         since = 0
         params = parse_qs(query)
         if "since" in params:
-            try:
-                since = int(params["since"][0])
-            except ValueError:
-                pass
+            raw = params["since"][0]
+            if not (raw.isascii() and raw.isdigit()):
+                return "400 Bad Request", _json(
+                    {"error": f"since must be a non-negative integer, got {raw!r}"}
+                )
+            since = int(raw)
         log = self.core.observer.events
         snapshot = EventLog()
         if log is not None:
@@ -308,6 +325,23 @@ class SchedulerService:
         out["clock_rate"] = getattr(self.clock, "rate", 1.0)
         out["drift"] = self.clock.drift.summary()
         return out
+
+
+class _BadRequest(Exception):
+    """``(status, message)``: answer with ``status``, then close."""
+
+
+async def _respond(writer, status: str, payload: bytes, content_type: str,
+                   connection: str) -> None:
+    writer.write(
+        (
+            f"HTTP/1.1 {status}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Connection: {connection}\r\n\r\n"
+        ).encode() + payload
+    )
+    await writer.drain()
 
 
 def _json(payload: object) -> bytes:

@@ -154,7 +154,7 @@ class TestWithout:
 class TestReadySnapshotContract:
     """A retained view must stay membership-stable across the engine's
     abort pass (the view snapshots the live ready list at construction;
-    see ``Engine._build_view``)."""
+    see ``ViewBuilder.build``)."""
 
     def test_retained_view_stable_across_abort_pass(self):
         from repro.cpu import Processor

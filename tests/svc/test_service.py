@@ -195,6 +195,116 @@ def test_shutdown_endpoint_stops_serve_until_shutdown():
 
 
 # ----------------------------------------------------------------------
+# Malformed requests (raw bytes on a fresh connection)
+# ----------------------------------------------------------------------
+async def _raw_exchange(service, request: bytes, timeout: float = 5.0) -> bytes:
+    """Send ``request`` verbatim and return everything the server sends
+    until it closes the connection."""
+    reader, writer = await asyncio.open_connection(service.host, service.port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout)
+    finally:
+        writer.close()
+
+
+def _with_raw_service(scenario):
+    async def run():
+        service = SchedulerService(ServiceCore(_taskset()), clock=WallClock(rate=50.0))
+        await service.start()
+        try:
+            return await scenario(service)
+        finally:
+            await service.stop()
+
+    return asyncio.run(run())
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3", "+7"])
+def test_bad_content_length_gets_400_and_close(length):
+    async def scenario(service):
+        reply = await _raw_exchange(
+            service,
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+
+    _with_raw_service(scenario)
+
+
+def test_oversize_body_gets_413_and_close():
+    from repro.svc.service import _MAX_BODY
+
+    async def scenario(service):
+        # Announce a body past the limit, followed (as the would-be
+        # remainder) by a well-formed second request: the server must
+        # refuse before reading the body and never answer the smuggled
+        # request.
+        smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
+        head = (
+            f"POST /jobs HTTP/1.1\r\n"
+            f"Content-Length: {_MAX_BODY + len(smuggled)}\r\n\r\n"
+        ).encode()
+        reply = await _raw_exchange(service, head)
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+
+    _with_raw_service(scenario)
+
+
+def test_body_at_the_limit_is_read_without_desync():
+    from repro.svc.service import _MAX_BODY
+
+    async def read_status(reader):
+        status = (await reader.readline()).split()[1]
+        length = 0
+        while (header := await reader.readline()) not in (b"\r\n", b""):
+            name, _, value = header.decode("latin-1").partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        await reader.readexactly(length)
+        return int(status)
+
+    async def scenario(service):
+        body = b" " * (_MAX_BODY - 2) + b"{}"
+        reader, writer = await asyncio.open_connection(service.host, service.port)
+        try:
+            writer.write(
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+                + body
+                + b"GET /healthz HTTP/1.1\r\n\r\n"
+            )
+            await writer.drain()
+            # One answer per request, in order, on the kept-alive stream.
+            assert await asyncio.wait_for(read_status(reader), 5.0) == 400
+            assert await asyncio.wait_for(read_status(reader), 5.0) == 200
+        finally:
+            writer.close()
+
+    _with_raw_service(scenario)
+
+
+@pytest.mark.parametrize("since", ["-3", "abc", "1.5"])
+def test_events_rejects_bad_since(since):
+    async def scenario(service, conn):
+        name = service.core.taskset[0].name
+        await conn.request("POST", "/jobs", {"task": name})
+        status, body = await conn.request("GET", f"/events?since={since}")
+        assert status == 400
+        assert "since" in json.loads(body)["error"]
+        # The connection stays usable and a valid cursor still works.
+        status, _ = await conn.request("GET", "/events?since=0")
+        assert status == 200
+
+    asyncio.run(_with_service(scenario))
+
+
+# ----------------------------------------------------------------------
 # Load-replay harness
 # ----------------------------------------------------------------------
 def test_build_schedule_is_deterministic():
