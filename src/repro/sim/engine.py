@@ -30,7 +30,9 @@ Dispatch slots: each event fills up to ``m`` slots, one per core; at
 (global scheduling) ``decide`` is re-invoked over residual views with
 ``dvs=False`` — a frequency priced over all m cores' demand pins to
 ``f_max`` — and each busy core then gets its own frequency from
-``Scheduler.decide_frequency`` over a per-core residual view.
+``Scheduler.decide_frequency`` over a per-core residual view.  Policies
+that keep the default ``decide_frequency`` (which returns ``None``: keep
+the selection-round frequency) skip that per-core pass entirely.
 """
 
 from __future__ import annotations
@@ -218,6 +220,80 @@ def _place(
     return assigned
 
 
+class _TaskSplit:
+    """One run's static inputs to the per-core task split (m > 1).
+
+    :meth:`split` pins each picked job's task to its core, then deals
+    the other tasks worst-fit by density (the offline partitioner's
+    ordering), so every busy core prices roughly ``1/m`` of the
+    background demand.  Tasks keep their allocations for the whole run
+    (m > 1 rejects the adaptive runtime), so each task's
+    ``min_feasible_frequency`` and the density order are computed here
+    once instead of at every event; built per run, never shared, since
+    a runtime may reallocate between runs.
+    """
+
+    __slots__ = ("taskset", "rates", "order", "_index", "_subsets")
+
+    def __init__(self, taskset: TaskSet):
+        self.taskset = taskset
+        self.rates: List[float] = [task.min_feasible_frequency for task in taskset]
+        # Same ordering key as repro.mp.partition.partition_taskset:
+        # density desc, utility-per-cycle desc, index — deterministic.
+        self.order: List[int] = sorted(
+            range(len(self.rates)),
+            key=lambda i: (
+                -self.rates[i],
+                -(taskset[i].tuf.max_utility / taskset[i].allocation),
+                i,
+            ),
+        )
+        self._index: Dict[int, int] = {id(task): i for i, task in enumerate(taskset)}
+        self._subsets: Dict[Tuple[int, ...], Tuple[TaskSet, frozenset]] = {}
+
+    def split(
+        self, assigned: List[Optional[Tuple[Job, float]]]
+    ) -> Tuple[List[List[int]], List[float]]:
+        """Per-core task indices and their summed rates for one event.
+
+        A task picked on several cores at once (rare: multiple pending
+        jobs of one task) is pinned to each, so every core's own
+        dispatch is always covered by its share.  Each core's load is
+        its pinned task's rate plus its dealt tasks' in density order.
+        """
+        m = len(assigned)
+        rates = self.rates
+        loads = [0.0] * m
+        members: List[List[int]] = [[] for _ in range(m)]
+        pinned = set()
+        for k in range(m):
+            pick = assigned[k]
+            if pick is not None:
+                i = self._index.get(id(pick[0].task))
+                if i is not None:
+                    pinned.add(i)
+                    members[k].append(i)
+                    loads[k] += rates[i]
+        for i in self.order:
+            if i in pinned:
+                continue
+            # Least-loaded core, lowest index on ties.
+            k = loads.index(min(loads))
+            members[k].append(i)
+            loads[k] += rates[i]
+        return members, loads
+
+    def subset(self, members: List[int]) -> Tuple[TaskSet, frozenset]:
+        """The :class:`TaskSet` of ``members`` (in task-set order) and
+        its task ids, memoised per member set."""
+        key = tuple(sorted(members))
+        hit = self._subsets.get(key)
+        if hit is None:
+            tasks = [self.taskset[i] for i in key]
+            hit = self._subsets[key] = (TaskSet(tasks), frozenset(id(t) for t in tasks))
+        return hit
+
+
 @dataclass
 class SimulationResult:
     """Everything a run produces."""
@@ -379,6 +455,14 @@ class Engine:
 
         scale = cores[0].scale
         scheduler.setup(taskset, scale, cores[0].model)
+        # The per-core frequency pass (m > 1) runs only for policies that
+        # override `decide_frequency`: the default returns None and emits
+        # nothing, so skipping it is invisible.  The base method is
+        # looked up now, not at import, so a wrapper installed on the
+        # base class itself still counts as the default.
+        split: Optional[_TaskSplit] = None
+        if multi and type(scheduler).decide_frequency is not Scheduler.decide_frequency:
+            split = _TaskSplit(taskset)
 
         jobs: List[Job] = [
             Job(spec.task, spec.index, spec.release, spec.demand) for spec in self.workload
@@ -557,8 +641,8 @@ class Engine:
 
             if multi:
                 assigned = _place(picks, last_exec_core, m)
-                if picks:
-                    self._decide_core_frequencies(view, assigned)
+                if picks and split is not None:
+                    self._decide_core_frequencies(view, assigned, split)
             else:
                 assigned = picks if picks else [None]
 
@@ -736,67 +820,30 @@ class Engine:
         self,
         view: SchedulerView,
         assigned: List[Optional[Tuple[Job, float]]],
+        split: _TaskSplit,
     ) -> None:
         """Per-core ``decideFreq`` over residual demand views (m > 1).
 
-        The taskset is split per core: each picked job's task is pinned
-        to its core, and the remaining tasks are distributed worst-fit by
-        density (the offline partitioner's ordering), so every busy core
-        prices roughly ``1/m`` of the background demand.  Each busy core
-        then gets ``scheduler.decide_frequency`` over its residual view:
-        its task share, minus jobs dispatched elsewhere and jobs aborted
-        this event.  ``None`` keeps the selection-round frequency
-        (fixed-frequency policies).  Updates ``assigned`` in place; job
+        ``split`` divides the taskset per core (see :class:`_TaskSplit`),
+        so every busy core prices roughly ``1/m`` of the background
+        demand.  Each busy core then gets ``scheduler.decide_frequency``
+        over its residual view: its task share, minus jobs dispatched
+        elsewhere and jobs aborted this event.  ``None`` keeps the
+        selection-round frequency.  Updates ``assigned`` in place; job
         selection is untouched.
         """
         scheduler = self.scheduler
-        taskset = view.taskset
-        m = len(assigned)
-
-        # A task picked on several cores at once (rare: multiple pending
-        # jobs of one task) is pinned to each, so every core's own
-        # dispatch is always covered by its view's taskset.
-        pinned: Dict[int, List[int]] = {}
-        for k in range(m):
-            pick = assigned[k]
-            if pick is not None:
-                pinned.setdefault(id(pick[0].task), []).append(k)
-
-        loads = [0.0] * m
-        members: List[List[int]] = [[] for _ in range(m)]
-        rest: List[int] = []
-        for i, task in enumerate(taskset):
-            cores_of_task = pinned.get(id(task))
-            if cores_of_task is None:
-                rest.append(i)
-                continue
-            for k in cores_of_task:
-                members[k].append(i)
-                loads[k] += task.min_feasible_frequency
-        # Same ordering key as repro.mp.partition.partition_taskset:
-        # density desc, utility-per-cycle desc, index — deterministic.
-        rest.sort(
-            key=lambda i: (
-                -taskset[i].min_feasible_frequency,
-                -(taskset[i].tuf.max_utility / taskset[i].allocation),
-                i,
-            )
-        )
-        for i in rest:
-            k = min(range(m), key=lambda q: (loads[q], q))
-            members[k].append(i)
-            loads[k] += taskset[i].min_feasible_frequency
+        members, _ = split.split(assigned)
 
         # Dispatched jobs leave every other core's view.
         busy = {id(p[0]) for p in assigned if p is not None}
         core_obs = self._core_obs
-        for k in range(m):
+        for k in range(len(assigned)):
             pick = assigned[k]
             if pick is None:
                 continue
             job = pick[0]
-            subset = sorted(members[k])
-            subset_ids = {id(taskset[i]) for i in subset}
+            sub_taskset, subset_ids = split.subset(members[k])
             sub_view = SchedulerView(
                 time=view.time,
                 ready=[
@@ -806,7 +853,7 @@ class Engine:
                     and j.status is not JobStatus.ABORTED
                     and (j is job or id(j) not in busy)
                 ],
-                taskset=TaskSet(taskset[i] for i in subset),
+                taskset=sub_taskset,
                 scale=view.scale,
                 energy_model=view.energy_model,
                 event=view.event,

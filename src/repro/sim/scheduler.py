@@ -343,7 +343,9 @@ class Scheduler(ABC):
         selection round ran with ``view.dvs = False``.  Returning
         ``None`` (the default) tells the engine to keep the frequency
         of the selection-round :class:`Decision` — correct for
-        fixed-frequency policies like EDF.
+        fixed-frequency policies like EDF.  The engine skips the whole
+        per-core pass (task split, residual views, these calls) for a
+        policy that does not override this method.
         """
         return None
 

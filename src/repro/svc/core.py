@@ -25,6 +25,7 @@ the core is clock-agnostic: the service feeds it a
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -42,6 +43,20 @@ __all__ = ["ServiceCore", "SubmitOutcome", "UnknownTaskError"]
 
 class UnknownTaskError(KeyError):
     """Submission named a task the service does not host."""
+
+
+def checked_demand(demand: object) -> Optional[float]:
+    """A submission's ``demand`` as Mcycles: ``None`` when absent, else
+    a finite float > 0.  Raises :class:`ValueError` otherwise."""
+    if demand is None:
+        return None
+    try:
+        value = float(demand)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"demand must be finite and > 0, got {demand!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -119,11 +134,14 @@ class ServiceCore:
         ``demand`` is the emulated true cycle demand (Mcycles); the
         default is the task's Chebyshev allocation ``c_i`` — a
         budget-conforming job.  UAM compliance is checked first (the
-        envelope gates what *counts* as an arrival), then admission.
+        envelope gates what *counts* as an arrival), then admission.  A
+        bad ``demand`` (see :func:`checked_demand`) or an unknown task
+        raises before anything is counted or charged to the envelope.
         """
         task = self._tasks.get(task_name)
         if task is None:
             raise UnknownTaskError(task_name)
+        demand = checked_demand(demand)
         self.counters["submitted"] += 1
         obs = self.observer
 
@@ -145,7 +163,7 @@ class ServiceCore:
                 release = violation.deferred_to
 
         job = Job(task, self._indices[task_name], release,
-                  float(demand) if demand is not None else task.allocation)
+                  demand if demand is not None else task.allocation)
         self._indices[task_name] += 1
 
         if release > t + EPS_TIME:

@@ -36,7 +36,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..obs import EventLog, events_to_jsonl
 from ..sim.clock import Clock, WallClock
-from .core import ServiceCore, UnknownTaskError
+from .core import ServiceCore, UnknownTaskError, checked_demand
 
 __all__ = ["SchedulerService"]
 
@@ -267,36 +267,41 @@ class SchedulerService:
 
     def _submit_one(self, body: bytes) -> Tuple[str, bytes]:
         try:
-            spec = json.loads(body or b"{}")
-            outcome = self.core.submit(
-                spec["task"], self.clock.now(), demand=spec.get("demand")
-            )
+            task, demand = _job_spec(json.loads(body or b"{}"))
+            outcome = self.core.submit(task, self.clock.now(), demand=demand)
         except UnknownTaskError as exc:
             return "400 Bad Request", _json({"error": f"unknown task {exc.args[0]!r}"})
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             return "400 Bad Request", _json({"error": str(exc)})
         self._kick()
         status = "200 OK" if outcome.accepted else "429 Too Many Requests"
         return status, _json(outcome.to_dict())
 
     def _submit_batch(self, body: bytes) -> Tuple[str, bytes]:
+        """All or nothing for malformed elements: every element is
+        shape-checked before any is submitted, so a 400 (naming the
+        first bad index) leaves the service untouched.  An unknown task
+        is a per-element ``"error"`` verdict."""
         try:
             specs = json.loads(body or b"[]")
-            if not isinstance(specs, list):
-                raise ValueError("batch body must be a JSON array")
-            verdicts = []
-            for spec in specs:
-                try:
-                    outcome = self.core.submit(
-                        spec["task"], self.clock.now(), demand=spec.get("demand")
-                    )
-                    verdicts.append(outcome.to_dict())
-                except UnknownTaskError as exc:
-                    verdicts.append(
-                        {"status": "error", "reason": f"unknown task {exc.args[0]!r}"}
-                    )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             return "400 Bad Request", _json({"error": str(exc)})
+        if not isinstance(specs, list):
+            return "400 Bad Request", _json({"error": "batch body must be a JSON array"})
+        jobs = []
+        for index, spec in enumerate(specs):
+            try:
+                jobs.append(_job_spec(spec))
+            except ValueError as exc:
+                return "400 Bad Request", _json(
+                    {"error": f"batch element {index}: {exc}", "index": index}
+                )
+        verdicts = []
+        for task, demand in jobs:
+            try:
+                verdicts.append(self.core.submit(task, self.clock.now(), demand=demand).to_dict())
+            except UnknownTaskError as exc:
+                verdicts.append({"status": "error", "reason": f"unknown task {exc.args[0]!r}"})
         self._kick()
         return "200 OK", _json(verdicts)
 
@@ -325,6 +330,18 @@ class SchedulerService:
         out["clock_rate"] = getattr(self.clock, "rate", 1.0)
         out["drift"] = self.clock.drift.summary()
         return out
+
+
+def _job_spec(spec: object) -> Tuple[str, Optional[float]]:
+    """``(task, demand)`` of one submission: a JSON object with a string
+    ``"task"`` and an optional ``"demand"`` (see
+    :func:`~repro.svc.core.checked_demand`)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a submission must be a JSON object, got {spec!r}")
+    task = spec.get("task")
+    if not isinstance(task, str):
+        raise ValueError(f"a submission needs a string 'task', got {task!r}")
+    return task, checked_demand(spec.get("demand"))
 
 
 class _BadRequest(Exception):

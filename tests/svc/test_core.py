@@ -45,6 +45,26 @@ class TestSubmit:
         core.submit(task.name, 0.0, demand=task.allocation / 2)
         assert core.ready[0].demand == pytest.approx(task.allocation / 2)
 
+    @pytest.mark.parametrize(
+        "demand", [-5, 0, 0.0, "nan", float("inf"), "abc", 10**400],
+        ids=["negative", "zero", "zero-float", "nan-text", "inf", "text", "huge-int"],
+    )
+    def test_bad_demand_is_neither_counted_nor_charged(self, core, taskset, demand):
+        task = taskset[0]
+        with pytest.raises(ValueError, match="demand"):
+            core.submit(task.name, 0.0, demand=demand)
+        assert core.counters["submitted"] == 0
+        assert core.stats()["uam_violations"] == 0
+        assert core.ready == []
+        # The envelope still has all a_i slots for valid submissions.
+        outcomes = _burst(core, task, task.uam.max_arrivals)
+        assert all(o.status != "shed" for o in outcomes)
+        assert core.counters["shed_uam"] == 0
+
+    def test_numeric_string_demand_is_accepted(self, core, taskset):
+        core.submit(taskset[0].name, 0.0, demand="12.5")
+        assert core.ready[0].demand == 12.5
+
     def test_outcome_to_dict_round_trips(self):
         out = SubmitOutcome("deferred", job="T0#1", reason="uam-deferral",
                             release=1.25)

@@ -88,6 +88,54 @@ def test_bad_submissions_are_400():
     asyncio.run(_with_service(scenario))
 
 
+def _verdict_sum(stats):
+    return stats["admitted"] + stats["deferred"] + stats["shed_uam"] + stats["rejected"]
+
+
+@pytest.mark.parametrize("demand", [-5, 0, "nan", "abc", [1]])
+def test_bad_demand_is_400_and_leaves_the_envelope_alone(demand):
+    async def scenario(service, conn):
+        name = service.core.taskset[0].name
+        status, body = await conn.request("POST", "/jobs", {"task": name, "demand": demand})
+        assert status == 400
+        assert "demand" in json.loads(body)["error"]
+        _, body = await conn.request("GET", "/stats")
+        stats = json.loads(body)
+        assert stats["submitted"] == 0
+        assert stats["uam_violations"] == 0
+        # The next valid submission of that task is not shed.
+        status, body = await conn.request("POST", "/jobs", {"task": name})
+        assert json.loads(body)["status"] != "shed"
+        _, body = await conn.request("GET", "/stats")
+        stats = json.loads(body)
+        assert stats["submitted"] == 1 == _verdict_sum(stats)
+
+    asyncio.run(_with_service(scenario))
+
+
+@pytest.mark.parametrize("bad", [{"demand": 1.0}, {"task": "T", "demand": -1}, "T", None,
+                                 {"task": 3}])
+def test_malformed_batch_is_rejected_whole(bad):
+    async def scenario(service, conn):
+        _, before = await conn.request("GET", "/stats")
+        names = [task.name for task in service.core.taskset[:2]]
+        batch = [{"task": n} for n in names] + [bad, {"task": names[0]}]
+        status, body = await conn.request("POST", "/jobs/batch", batch)
+        assert status == 400
+        error = json.loads(body)
+        assert error["index"] == 2
+        assert "element 2" in error["error"]
+        _, after = await conn.request("GET", "/stats")
+        before, after = json.loads(before), json.loads(after)
+        for volatile in ("clock_now", "drift"):
+            before.pop(volatile)
+            after.pop(volatile)
+        assert after == before
+        assert after["submitted"] == 0
+
+    asyncio.run(_with_service(scenario))
+
+
 def test_batch_submission_returns_per_job_verdicts():
     async def scenario(service, conn):
         names = [task.name for task in service.core.taskset[:3]]
