@@ -40,16 +40,19 @@ Kernel / reference pairing
 Both rate computations are implemented twice: an optimized *kernel*
 (the canonical name, used by the hot path) and a straight-line
 ``*_reference`` transliteration of the algorithm.  The kernels rewrite
-the per-call work — the per-task ``(D^a, C^r)`` fold reads the view's
-cached pending groups once instead of re-scanning the ready list per
-task, static rates are priced once per task instead of twice, and the
-demand kernel enumerates each task's worst-case arrival sequence once
-and counts per deadline point by bisection instead of re-enumerating
-per point — but every float is produced by the same expression in the
-same order, so the results are **bit-identical**.  The differential
-suite (``tests/core/test_kernel_equivalence.py``) pins kernel ≡
-reference under Hypothesis, and the golden decision logs pin the full
-observable behaviour.
+the per-call work — the per-task ``(D^a, C^r)`` fold reads each task's
+head job and pending count from one pass over the ready list instead
+of re-scanning it per task, static rates are priced once per task
+instead of twice, the look-ahead returns ``f_m`` as soon as its
+deferral sum saturates, and the demand kernel enumerates each task's
+worst-case arrival sequence once and counts per deadline point by
+bisection instead of re-enumerating per point — but every float is
+produced by the same expression in the same order, so the results are
+**bit-identical**.  The differential suites
+(``tests/core/test_kernel_equivalence.py``,
+``tests/properties/test_decision_exits.py``) pin kernel ≡ reference
+under Hypothesis, and the golden decision logs pin the full observable
+behaviour.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import Dict, List, Set, Tuple
 from ..cpu import FrequencyScale
 from ..obs import EventKind
 from ..sim.job import Job
-from ..sim.scheduler import SchedulerView
+from ..sim.scheduler import ArrivalWindow, SchedulerView
 from ..sim.task import Task
 from .offline import TaskParams
 
@@ -248,19 +251,44 @@ def required_rate_lookahead(view: SchedulerView) -> float:
     from the deferral anchor ``D_n^a``: a task with nothing left to run
     in its window cannot be the binding earliest critical time.
 
-    Kernel notes: one pass over the task set reads the view's cached
-    pending groups and arrival windows directly — inlining
-    ``earliest_critical_time`` / ``remaining_window_cycles`` — and
-    prices each task's static rate ``C_i / D_i`` exactly once (the
-    reference computes the same expression twice, in the utilisation
-    sum and again in the deferral loop; the float is identical either
-    way).  Bit-identical to
-    :func:`required_rate_lookahead_reference`.
+    Kernel notes: one pass over the ready list keeps each task's head
+    job and pending count (the head is the first job minimal under
+    ``(critical_time, release, index)``, i.e. ``group[0]`` of the view's
+    stable-sorted pending group); one pass over the task set then reads
+    the cached ``dvs_static`` tuples and arrival-window lengths directly
+    — inlining ``earliest_critical_time`` / ``remaining_window_cycles``
+    — and prices each task's static rate ``C_i / D_i`` exactly once.
+    Bit-identical to :func:`required_rate_lookahead_reference`.
+
+    The kernel stops as soon as its answer is fixed, which is exact:
+
+    * ``horizon = D_n − t`` is known once ``D_n`` is, so the
+      ``horizon <= _EPS`` early return happens before the sort (nothing
+      in the deferral loop has side effects);
+    * every residue ``x`` is ``>= 0``, so the float sum ``s`` never
+      decreases, and correctly rounded division is monotone in its
+      numerator.  Once ``s / horizon >= f_m`` the final
+      ``min(f_m, s / horizon)`` is therefore ``f_m``, and the loop
+      returns it.  The test is the same division, not a comparison
+      against a precomputed ``f_m * horizon``, which rounds differently.
     """
     t = view.time
     f_m = view.scale.f_max
-    pending_map = view._pending_map()
     windows = view._arrivals_in_window
+    # task -> [head job, pending count]; a later job replaces the head
+    # only if strictly smaller under ``(critical_time, release, index)``.
+    heads: Dict[Task, list] = {}
+    for job in view.ready:
+        task = job.task
+        entry = heads.get(task)
+        if entry is None:
+            heads[task] = [job, 1]
+            continue
+        entry[1] += 1
+        head = entry[0]
+        d, h = job.critical_time, head.critical_time
+        if d < h or (d == h and (job._release, job.index) < (head._release, head.index)):
+            entry[0] = job
     # One fused pass: util fold (reference's sum()), the (D^a, C^r)
     # entries, and the deferral anchor D_n over tasks with work left.
     util = 0.0
@@ -269,24 +297,31 @@ def required_rate_lookahead(view: SchedulerView) -> float:
     append = entries.append
     for task in view.taskset:
         # (a_i, c_i, D_i, C_i/D_i, C_i), cached across decisions.
-        a, allocation, d_rel, rate, cap = task.dvs_static()
+        static = task._dvs_static
+        if static is None:
+            static = task.dvs_static()
+        a, allocation, d_rel, rate, cap = static
         util += rate
-        group = pending_map.get(id(task))
-        if group:
-            head = group[0]
+        entry = heads.get(task)
+        if entry is not None:
+            head, n_pending = entry
             d_a = head.critical_time
             # head.remaining_budget, with ``allocated`` already in hand.
             head_remaining = allocation - head.executed
             if head_remaining < 0.0:
                 head_remaining = 0.0
-            n_pending = len(group)
             count = a if a < n_pending else n_pending  # min(a, len(pending))
             work = (count - 1) * allocation + head_remaining
         else:
             d_a = t + d_rel
             work = 0.0
         recent = windows.get(task.name)
-        unseen = a - (len(recent) if recent is not None else 0)
+        if recent is None:
+            unseen = a
+        elif recent.__class__ is ArrivalWindow:
+            unseen = a - (recent._stop - recent._start)  # len(recent)
+        else:
+            unseen = a - len(recent)
         if unseen < 0:
             unseen = 0
         c_r = work + unseen * allocation
@@ -297,6 +332,9 @@ def required_rate_lookahead(view: SchedulerView) -> float:
         append((d_a, c_r, rate))
     if d_n == math.inf:
         return 0.0
+    horizon = d_n - t
+    if horizon <= _EPS:
+        return f_m
     # Latest-critical-time-first ("reverse EDF order of tasks", line 4).
     # ``reverse=True`` keeps Timsort's stability, so equal critical
     # times stay in task-set order exactly like the reference's
@@ -323,9 +361,9 @@ def required_rate_lookahead(view: SchedulerView) -> float:
             # The deferred work becomes this task's post-D_n demand (line 7).
             util += (c_r - x) / gap
         s += x
-    horizon = d_n - t
-    if horizon <= _EPS:
-        return f_m
+        if s / horizon >= f_m:
+            # Saturated: s only grows, so the result is f_m (docstring).
+            return f_m
     return min(f_m, s / horizon)
 
 

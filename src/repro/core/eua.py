@@ -33,6 +33,7 @@ infeasible jobs to expire on their own.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -135,9 +136,13 @@ class EUAStar(Scheduler):
         profiling = obs is not None and obs.profiler is not None
         t0 = perf_counter() if profiling else 0.0
 
+        # The paper's UER is called as a module global, so the mutation
+        # harness (``repro.check.mutations``) can swap it; the ablation
+        # ordering and subclasses overriding ``_metric`` use the method.
+        uer = self.ordering == "uer" and type(self)._metric is EUAStar._metric
         aborts: List[Job] = []
-        ranked: List[Tuple[float, float, Job]] = []
-        for job in view.ready:
+        decorated = []
+        for pos, job in enumerate(view.ready):
             if not job_feasible(job, t, f_m):
                 if self.abort_infeasible and job.task.abortable:
                     aborts.append(job)
@@ -146,12 +151,15 @@ class EUAStar(Scheduler):
                              reason="individually-infeasible")
                     obs.inc("sigma_rejections", reason="individually-infeasible")
                 continue
-            metric = self._metric(job, t, f_m, model)
-            ranked.append((metric, job.critical_time, job))
+            metric = job_uer(job, t, f_m, model) if uer else self._metric(job, t, f_m, model)
+            crit = job.critical_time
+            decorated.append((-metric, crit, job._release, job.index, pos, (metric, crit, job)))
 
         # Non-increasing metric; ties resolved by earlier critical time,
-        # then release order for determinism.
-        ranked.sort(key=lambda e: (-e[0], e[1], e[2].release, e[2].index))
+        # then release order, then ready order (``pos``: what a stable
+        # sort on the first four keys would keep) for determinism.
+        decorated.sort()
+        ranked: List[Tuple[float, float, Job]] = [e[5] for e in decorated]
 
         if self.incremental:
             head = self._build_sigma_incremental(ranked, t, f_m, obs, profiling)
@@ -217,9 +225,24 @@ class EUAStar(Scheduler):
         Returns the head of σ (``None`` when σ stays empty).  Emits the
         same observability events, in the same order, as the reference
         builder.
+
+        With no observer attached only σ's head is read, so the loop
+        stops once the head is final.  This is exact: σ only grows, and
+        a candidate becomes the head only through an accepted insert at
+        position 0, which needs a critical time *strictly* below the
+        current head's (``bisect_right`` places ties after).  So once
+        the least critical time among the remaining candidates
+        (``floor[i]``, a suffix minimum) is ``>=`` the head's, no later
+        probe can change the head.  With an observer σ is built in full,
+        so every ``INSERT``/``REJECT`` event is still emitted.
         """
         sigma = IncrementalSchedule(t, f_m)
-        for i, (metric, _, job) in enumerate(ranked):
+        floor = None
+        if obs is None:
+            floor = list(accumulate([crit for _, crit, _ in reversed(ranked)], min))
+            floor.reverse()
+        head_crit = None
+        for i, (metric, crit, job) in enumerate(ranked):
             if metric <= 0.0:
                 if obs is not None:
                     for m, _, late in ranked[i:]:
@@ -227,12 +250,16 @@ class EUAStar(Scheduler):
                                  reason="nonpositive-uer", uer=m)
                         obs.inc("sigma_rejections", reason="nonpositive-uer")
                 break  # sorted: no later job can have positive UER
+            if floor is not None and head_crit is not None and floor[i] >= head_crit:
+                break  # σ's head is final (docstring)
             if profiling:
                 t1 = perf_counter()
                 pos = sigma.try_insert(job)
                 obs.record(f"{self.name}.feasibility", perf_counter() - t1)
             else:
                 pos = sigma.try_insert(job)
+            if pos == 0:
+                head_crit = crit
             if pos >= 0:
                 if obs is not None:
                     obs.emit(t, EventKind.INSERT, job.key, source=self.name,

@@ -19,8 +19,8 @@ Endpoints (all JSON unless noted)::
     POST /jobs            {"task": name, "demand": Mcycles?}  -> verdict
     POST /jobs/batch      [submission, ...]                   -> [verdict, ...]
     GET  /events?since=N  decision stream as repro.obs JSONL (N >= 0)
-    GET  /stats           lifecycle counters + clock drift
-    GET  /healthz         liveness probe
+    GET  /stats           lifecycle counters + clock drift + executor error
+    GET  /healthz         liveness probe: 503 once the executor has died
     POST /shutdown        graceful stop
 
 Accepted submissions return 200; shed/rejected ones return 429 with the
@@ -62,6 +62,8 @@ class SchedulerService:
         #: Set by submissions/completions to preempt the executor's wait.
         self._wake = asyncio.Event()
         self._stopping = asyncio.Event()
+        #: ``repr`` of the exception that killed the executor, if any.
+        self._executor_error: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -74,6 +76,14 @@ class SchedulerService:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._executor = asyncio.create_task(self._run_executor())
+        self._executor.add_done_callback(self._executor_done)
+
+    def _executor_done(self, task: asyncio.Task) -> None:
+        """Record why the executor stopped, so ``/healthz`` and
+        ``/stats`` report a dead executor as soon as it dies (``stop()``
+        still re-raises the error)."""
+        if not task.cancelled() and task.exception() is not None:
+            self._executor_error = repr(task.exception())
 
     async def stop(self) -> None:
         """Stop accepting, cancel the executor, close the listener."""
@@ -258,6 +268,10 @@ class SchedulerService:
                 for task in self.core.taskset
             ])
         if route == ("GET", "/healthz"):
+            if self._executor_error is not None:
+                return "503 Service Unavailable", _json(
+                    {"status": "failed", "error": self._executor_error}
+                )
             return "200 OK", _json({"status": "ok"})
         if route == ("POST", "/shutdown"):
             self._stopping.set()
@@ -324,8 +338,10 @@ class SchedulerService:
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
-        """Stats payload: core counters + clock drift + clock time."""
+        """Stats payload: core counters + clock drift + clock time, and
+        the executor's error (``None`` while it runs)."""
         out = self.core.stats()
+        out["executor_error"] = self._executor_error
         out["clock_now"] = self.clock.now()
         out["clock_rate"] = getattr(self.clock, "rate", 1.0)
         out["drift"] = self.clock.drift.summary()

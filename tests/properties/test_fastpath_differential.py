@@ -174,6 +174,35 @@ def test_euastar_incremental_equals_reference_linear_e3(scenario):
     assert _segments(fast) == _segments(slow)
 
 
+@given(uam_scenarios())
+@settings(max_examples=15, deadline=None)
+def test_euastar_strict_break_incremental_equals_reference(scenario):
+    """The literal ``else break`` reading stops σ at the first rejected
+    probe; the incremental arm's head-is-final exit must not change
+    where either loop stops or what it dispatches."""
+    taskset, seed = scenario
+    fast = _run(taskset, seed, EUAStar(strict_insertion_break=True))
+    slow = _run(taskset, seed, EUAStar(strict_insertion_break=True, incremental=False))
+    assert fast.metrics.accrued_utility == slow.metrics.accrued_utility
+    assert fast.energy == slow.energy
+    assert [j.status for j in fast.jobs] == [j.status for j in slow.jobs]
+    assert _segments(fast) == _segments(slow)
+
+
+@given(uam_scenarios(tuf_shape="linear"))
+@settings(max_examples=15, deadline=None)
+def test_euastar_utility_density_incremental_equals_reference(scenario):
+    """The energy-oblivious ordering ranks by ``_metric``, not the
+    module-level UER, and goes through the same σ exit."""
+    taskset, seed = scenario
+    fast = _run(taskset, seed, EUAStar(ordering="utility_density"))
+    slow = _run(taskset, seed, EUAStar(ordering="utility_density", incremental=False))
+    assert fast.metrics.accrued_utility == slow.metrics.accrued_utility
+    assert fast.energy == slow.energy
+    assert [j.status for j in fast.jobs] == [j.status for j in slow.jobs]
+    assert _segments(fast) == _segments(slow)
+
+
 # ----------------------------------------------------------------------
 # offlineComputing memo and the shared UER denominator table
 # ----------------------------------------------------------------------

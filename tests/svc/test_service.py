@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import EUAStar
 from repro.experiments import synthesize_taskset
 from repro.obs import EventKind, events_from_jsonl
 from repro.sim import WallClock
@@ -199,6 +200,7 @@ def test_stats_reports_counters_and_drift():
         stats = json.loads(body)
         assert stats["submitted"] == 1
         assert stats["clock_rate"] == service.clock.rate
+        assert stats["executor_error"] is None
         assert set(stats["drift"]) == {
             "waits", "punctual", "mean_lag_s", "max_lag_s", "total_lag_s"
         }
@@ -224,6 +226,44 @@ def test_submitted_job_runs_to_completion():
         assert EventKind.COMPLETE in kinds
 
     asyncio.run(_with_service(scenario, rate=100.0))
+
+
+class _FailingScheduler(EUAStar):
+    """EUA* whose every decision raises: the executor task dies."""
+
+    def decide(self, view):
+        raise RuntimeError("scheduler exploded")
+
+
+def test_healthz_and_stats_report_a_dead_executor():
+    async def scenario():
+        taskset = _taskset()
+        service = SchedulerService(ServiceCore(taskset, scheduler=_FailingScheduler()),
+                                   clock=WallClock(rate=50.0))
+        await service.start()
+        conn = _Connection(service.host, service.port)
+        try:
+            await conn.open()
+            status, body = await conn.request("GET", "/healthz")
+            assert (status, json.loads(body)) == (200, {"status": "ok"})
+            await conn.request("POST", "/jobs", {"task": taskset[0].name})
+            for _ in range(300):
+                status, body = await conn.request("GET", "/healthz")
+                if status != 200:
+                    break
+                await asyncio.sleep(0.01)
+            assert status == 503
+            health = json.loads(body)
+            assert health["status"] == "failed"
+            assert "scheduler exploded" in health["error"]
+            _, body = await conn.request("GET", "/stats")
+            assert json.loads(body)["executor_error"] == health["error"]
+        finally:
+            await conn.close()
+            with pytest.raises(RuntimeError, match="scheduler exploded"):
+                await service.stop()
+
+    asyncio.run(scenario())
 
 
 def test_shutdown_endpoint_stops_serve_until_shutdown():
